@@ -1,15 +1,12 @@
 //! P9: the compiled structure-of-arrays population.
 //!
-//! Four questions, all at 100k providers:
+//! Three questions, all at 100k providers:
 //!
-//! 1. **Single-thread speedup** — the per-profile compiled-plan path (PR 2's
-//!    fastest leg, kept as `run_per_profile`) versus one pass over a
-//!    pre-built [`CompiledPopulation`], full-report and counts-only.
+//! 1. **Pass cost** — one pass over a pre-built [`CompiledPopulation`],
+//!    full-report and counts-only.
 //! 2. **Build cost** — what compiling the population once actually costs,
 //!    the denominator of every amortization claim.
-//! 3. **Thread sweep** — `par_audit_compiled` over the shared population
-//!    with pooled scratches.
-//! 4. **K-policy amortization** — a what-if sweep over K candidate policies
+//! 3. **K-policy amortization** — a what-if sweep over K candidate policies
 //!    as K independent full audits versus one compile + K counts-only
 //!    passes (`audit_many_policies`, the Eq. 31 sweep shape). The compiled
 //!    leg re-builds the population inside the timed region, so the curve
@@ -20,26 +17,19 @@
 //! Emit JSON with: `QPV_BENCH_JSON=BENCH_compiled_population.json \
 //!     cargo bench -p qpv-bench --bench compiled_population`
 
-use std::num::NonZeroUsize;
-
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use qpv_core::CompiledPopulation;
-use qpv_synth::population::par_generate;
+use qpv_synth::population::generate_stable;
 use qpv_synth::Scenario;
 use std::hint::black_box;
 
 const N: usize = 100_000;
 const K_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
-fn bench_single_thread(c: &mut Criterion) {
+fn bench_single_pass(c: &mut Criterion) {
     let n = qpv_bench::bench_n(N);
     let scenario = Scenario::healthcare(64, 42); // spec donor
-    let population = par_generate(
-        &scenario.spec,
-        n,
-        42,
-        NonZeroUsize::new(4).expect("nonzero"),
-    );
+    let population = generate_stable(&scenario.spec, n, 42);
     let engine = scenario.engine();
     let pop = CompiledPopulation::from_profiles(&population.profiles);
     let oracle = engine.run_reference(&population.profiles);
@@ -47,15 +37,6 @@ fn bench_single_thread(c: &mut Criterion) {
     let mut group = c.benchmark_group("pop");
     group.sample_size(10);
     group.throughput(Throughput::Elements(n as u64));
-    // PR 2's fastest single-threaded leg: compiled plan, per-profile
-    // indexing, witnesses allocated per violation.
-    group.bench_function("per_profile", |b| {
-        b.iter(|| {
-            let report = engine.run_per_profile(black_box(&population.profiles));
-            assert_eq!(report.total_violations, oracle.total_violations);
-            black_box(report)
-        });
-    });
     // One pass over the pre-built population, full report.
     group.bench_function("compiled_full", |b| {
         b.iter(|| {
@@ -81,45 +62,12 @@ fn bench_single_thread(c: &mut Criterion) {
         });
     });
     group.finish();
-
-    // Thread counts above what the scheduler will actually grant are
-    // skipped (and recorded as such in the JSON): on a pinned 1-CPU
-    // container the 2/4/8 legs would only measure oversubscription noise
-    // and plot a flat-by-construction "scaling" curve.
-    let avail = criterion::threads_available();
-    let mut group = c.benchmark_group("pop/parallel");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(n as u64));
-    for threads in [1usize, 2, 4, 8].into_iter().filter(|&t| t <= avail) {
-        let nz = NonZeroUsize::new(threads).expect("nonzero");
-        group.bench_with_input(BenchmarkId::new("threads", threads), &threads, |b, _| {
-            b.iter(|| {
-                let report = engine
-                    .par_audit_compiled(black_box(&pop), nz)
-                    .expect("no fault injection in benchmarks");
-                assert_eq!(report.total_violations, oracle.total_violations);
-                black_box(report)
-            });
-        });
-    }
-    group.finish();
-    for threads in [1usize, 2, 4, 8].into_iter().filter(|&t| t > avail) {
-        c.record_skip(
-            format!("pop/parallel/threads/{threads}"),
-            format!("above threads_available ({avail})"),
-        );
-    }
 }
 
 fn bench_policy_sweep(c: &mut Criterion) {
     let n = qpv_bench::bench_n(N);
     let scenario = Scenario::healthcare(64, 42);
-    let population = par_generate(
-        &scenario.spec,
-        n,
-        42,
-        NonZeroUsize::new(4).expect("nonzero"),
-    );
+    let population = generate_stable(&scenario.spec, n, 42);
     let engine = scenario.engine();
     let policies: Vec<_> = (0..K_SWEEP[K_SWEEP.len() - 1] as u32)
         .map(|s| engine.policy.widened_uniform(s))
@@ -162,5 +110,5 @@ fn bench_policy_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_single_thread, bench_policy_sweep);
+criterion_group!(benches, bench_single_pass, bench_policy_sweep);
 criterion_main!(benches);

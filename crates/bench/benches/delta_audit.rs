@@ -26,11 +26,9 @@
 //! Emit JSON with: `QPV_BENCH_JSON=BENCH_delta_audit.json \
 //!     cargo bench -p qpv-bench --bench delta_audit`
 
-use std::num::NonZeroUsize;
-
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use qpv_core::{CompiledPopulation, IncrementalAuditor};
-use qpv_synth::population::par_generate;
+use qpv_synth::population::generate_stable;
 use qpv_synth::workload::churn;
 use qpv_synth::Scenario;
 use std::hint::black_box;
@@ -41,12 +39,7 @@ const K_DELTAS: [usize; 3] = [1, 100, 10_000];
 fn bench_delta_vs_rebuild(c: &mut Criterion) {
     let n = qpv_bench::bench_n(N);
     let scenario = Scenario::healthcare(64, 42); // spec donor
-    let population = par_generate(
-        &scenario.spec,
-        n,
-        42,
-        NonZeroUsize::new(4).expect("nonzero"),
-    );
+    let population = generate_stable(&scenario.spec, n, 42);
     let engine = scenario.engine();
     let attrs = scenario.spec.attribute_names();
     let weights = scenario.spec.attribute_weights();

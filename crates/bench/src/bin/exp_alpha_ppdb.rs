@@ -128,34 +128,6 @@ fn main() {
         .all(|w| w[1].unwrap_or(0) >= w[0].unwrap_or(0));
     check("frontier monotone in α", true, mono);
 
-    // 4. Thread-count sweep: the census audit itself, sharded. The paper
-    // frames Definitions 2/5 as census quantities over the *whole*
-    // population, so this is where parallelism pays at scale.
-    println!("\nparallel audit thread sweep (50k providers):");
-    let big = qpv_synth::par_generate(&scenario.spec, 50_000, 42, qpv_core::default_threads());
-    let _warmup = engine.run(&big.profiles); // fault pages in before timing
-    let t = std::time::Instant::now();
-    let sequential = engine.run(&big.profiles);
-    let base = t.elapsed();
-    println!("  sequential: {base:>10.2?}");
-    for threads in [2usize, 4, 8] {
-        let nz = std::num::NonZeroUsize::new(threads).expect("nonzero");
-        let t = std::time::Instant::now();
-        let parallel = engine
-            .par_audit(&big.profiles, nz)
-            .expect("no fault injection in experiments");
-        let took = t.elapsed();
-        check(
-            &format!("par_audit({threads}) report identical"),
-            true,
-            parallel == sequential,
-        );
-        println!(
-            "  {threads} threads:  {took:>10.2?}  ({:.2}x)",
-            base.as_secs_f64() / took.as_secs_f64()
-        );
-    }
-
     let path = write_result("exp_alpha_ppdb", &rows);
     println!("\nresult JSON: {}", path.display());
 }

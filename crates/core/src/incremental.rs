@@ -4,8 +4,7 @@
 //! contributions, so when the house edits its policy only the contributions
 //! of *changed* `(attribute, purpose)` groups need recomputing. For a policy
 //! edit touching `k` of `m` groups over `n` providers, the incremental
-//! update costs `O(n·k)` versus `O(n·m)` for a full re-audit — the ablation
-//! benchmark A1 measures the crossover.
+//! update costs `O(n·k)` versus `O(n·m)` for a full re-audit.
 //!
 //! The auditor also maintains per-provider *violation counts* (how many
 //! policy tuples currently violate), so Definition 1's `w_i` and
@@ -34,7 +33,6 @@
 //! a fresh rebuild.
 
 use std::collections::HashMap;
-use std::num::NonZeroUsize;
 
 use qpv_policy::HousePolicy;
 use qpv_taxonomy::{PrivacyPoint, Purpose, ViolationGeometry};
@@ -111,20 +109,6 @@ impl IncrementalAuditor {
         auditor
     }
 
-    /// [`IncrementalAuditor::new`], with the initial full pass sharded
-    /// across `threads` worker threads.
-    pub fn new_parallel(
-        profiles: Vec<ProviderProfile>,
-        attributes: Vec<String>,
-        attribute_weights: &AttributeSensitivities,
-        policy: HousePolicy,
-        threads: NonZeroUsize,
-    ) -> IncrementalAuditor {
-        let mut auditor = IncrementalAuditor::build(profiles, attributes, attribute_weights);
-        auditor.apply_policy_parallel(policy, threads);
-        auditor
-    }
-
     /// [`IncrementalAuditor::new`], but starting from an already-compiled
     /// population — the rebuild path callers use when a
     /// [`CompiledPopulation`] is on hand (e.g. from a `Ppdb` scan).
@@ -178,19 +162,6 @@ impl IncrementalAuditor {
 
     /// Replace the policy, recomputing only the changed groups.
     pub fn apply_policy(&mut self, new_policy: HousePolicy) {
-        self.apply_policy_inner(new_policy, NonZeroUsize::MIN);
-    }
-
-    /// [`IncrementalAuditor::apply_policy`], with each changed group's
-    /// per-provider recomputation sharded across `threads` worker threads.
-    /// Produces state identical to the sequential path for any thread
-    /// count: providers are re-scored independently and merged in
-    /// population order.
-    pub fn apply_policy_parallel(&mut self, new_policy: HousePolicy, threads: NonZeroUsize) {
-        self.apply_policy_inner(new_policy, threads);
-    }
-
-    fn apply_policy_inner(&mut self, new_policy: HousePolicy, threads: NonZeroUsize) {
         let old_groups = group_points(&self.policy, &self.attributes);
         let new_groups = group_points(&new_policy, &self.attributes);
 
@@ -222,7 +193,7 @@ impl IncrementalAuditor {
             if unchanged {
                 continue;
             }
-            let contrib = self.compute_group(key, points, threads);
+            let contrib = self.compute_group(key, points);
             for (i, (s, v)) in contrib
                 .scores
                 .iter()
@@ -237,46 +208,11 @@ impl IncrementalAuditor {
         self.policy = new_policy;
     }
 
-    fn compute_group(
-        &self,
-        key: &GroupKey,
-        points: &[qpv_taxonomy::PrivacyPoint],
-        threads: NonZeroUsize,
-    ) -> GroupContribution {
-        let len = self.pop.len();
-        if threads.get() > 1 && len >= crate::par::PAR_THRESHOLD {
-            let chunk = crate::par::chunk_size(len, threads.get());
-            let parts = crate::par::par_map_chunks(len, threads.get(), chunk, |start, end| {
-                self.compute_group_range(key, points, start, end)
-            })
-            .expect("incremental group computation is panic-free");
-            let mut merged = GroupContribution {
-                scores: Vec::with_capacity(len),
-                violations: Vec::with_capacity(len),
-            };
-            for part in parts {
-                merged.scores.extend(part.scores);
-                merged.violations.extend(part.violations);
-            }
-            merged
-        } else {
-            self.compute_group_range(key, points, 0, len)
-        }
-    }
-
-    /// One group's contribution for providers in `[start, end)`, on the
-    /// interned fast path: the `(attribute, purpose)` key and the `Σ^a`
-    /// weight resolve once, then each provider costs one binary search
-    /// plus one dense datum load. Each provider is independent, so cutting
-    /// this range into chunks and concatenating in index order reproduces
-    /// the sequential result exactly.
-    fn compute_group_range(
-        &self,
-        key: &GroupKey,
-        points: &[PrivacyPoint],
-        start: usize,
-        end: usize,
-    ) -> GroupContribution {
+    /// One group's per-provider contribution, on the interned fast path:
+    /// the `(attribute, purpose)` key and the `Σ^a` weight resolve once,
+    /// then each provider costs one binary search plus one dense datum
+    /// load.
+    fn compute_group(&self, key: &GroupKey, points: &[PrivacyPoint]) -> GroupContribution {
         let (attribute, purpose) = key;
         let weight = self.sensitivity.attribute_weight(attribute, purpose.name());
         let (attrs, purposes) = self.pop.symbols();
@@ -285,12 +221,13 @@ impl IncrementalAuditor {
         // deny-all `⟨0,0,0⟩` and every datum the neutral sensitivity.
         let attr = attrs.get(attribute);
         let ids = attr.zip(purposes.get(purpose.name()));
-        let mut scores = vec![0u128; end - start];
-        let mut violations = vec![0u32; end - start];
-        for (i, idx) in (start..end).enumerate() {
+        let len = self.pop.len();
+        let mut scores = vec![0u128; len];
+        let mut violations = vec![0u32; len];
+        for idx in 0..len {
             let (s, v) = self.score_one(idx, weight, attr, ids, points);
-            scores[i] = s;
-            violations[i] = v;
+            scores[idx] = s;
+            violations[idx] = v;
         }
         GroupContribution { scores, violations }
     }
@@ -855,51 +792,6 @@ mod tests {
                 auditor.outcome(),
                 engine.counts(auditor.compiled()),
                 "round {round}"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_apply_policy_matches_sequential_for_all_thread_counts() {
-        let profiles = population(700); // above PAR_THRESHOLD
-        let levels = [3u32, 1, 6, 0, 9];
-        let mut sequential = IncrementalAuditor::new(
-            profiles.clone(),
-            vec!["weight".into(), "age".into()],
-            &weights(),
-            policy(2),
-        );
-        for threads in [1usize, 2, 4, 8] {
-            let nz = std::num::NonZeroUsize::new(threads).unwrap();
-            let mut parallel = IncrementalAuditor::new_parallel(
-                profiles.clone(),
-                vec!["weight".into(), "age".into()],
-                &weights(),
-                policy(2),
-                nz,
-            );
-            for level in levels {
-                sequential.apply_policy(policy(level));
-                parallel.apply_policy_parallel(policy(level), nz);
-                for i in 0..parallel.population() {
-                    assert_eq!(
-                        parallel.score(i),
-                        sequential.score(i),
-                        "threads {threads}, level {level}, provider {i}"
-                    );
-                    assert_eq!(parallel.violated(i), sequential.violated(i));
-                    assert_eq!(parallel.defaulted(i), sequential.defaulted(i));
-                }
-                assert_eq!(parallel.total_violations(), sequential.total_violations());
-                assert_eq!(parallel.p_violation(), sequential.p_violation());
-                assert_eq!(parallel.p_default(), sequential.p_default());
-            }
-            // Reset the sequential reference for the next thread count.
-            sequential = IncrementalAuditor::new(
-                profiles.clone(),
-                vec!["weight".into(), "age".into()],
-                &weights(),
-                policy(2),
             );
         }
     }

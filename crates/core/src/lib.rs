@@ -23,21 +23,27 @@
 //!   preferences, sensitivities, thresholds, and the house policy all live
 //!   in `qpv-reldb` tables, making violations auditable against actual
 //!   storage (the paper's §10 "initial prototype of the α-PPDB").
-//! * [`audit`] — the audit engine producing [`audit::AuditReport`]s.
+//! * [`audit`] — the audit engine producing [`audit::AuditReport`]s. It
+//!   has one report path, [`audit::AuditEngine::audit_compiled`] (which
+//!   [`audit::AuditEngine::run`] wraps), and one oracle,
+//!   [`audit::AuditEngine::run_reference`]: the direct string-resolving
+//!   transcription of the definitions that every fast path is
+//!   property-tested against.
 //! * [`incremental`] — delta-maintained violation scores under policy
-//!   changes (ablation A1 compares this with full recomputation).
+//!   edits and population deltas, exact against a full re-audit.
 //! * [`intern`] / [`plan`] — the compiled audit path: attributes and
 //!   purposes interned to dense ids, policy tuples pre-resolved to
 //!   [`plan::CompiledAuditPlan`] rows, lattice coverage precomputed — the
-//!   hot loop runs with zero string hashing. [`audit::AuditEngine::run`],
-//!   the parallel path, and the incremental auditor all route through it;
-//!   [`audit::AuditEngine::run_reference`] keeps the direct string path as
-//!   the property-tested oracle.
+//!   hot loop runs with zero string hashing.
 //! * [`pop`] — the population compiled once into flat structure-of-arrays
 //!   storage ([`pop::CompiledPopulation`]): dense interned preference rows,
 //!   a flat datum-sensitivity table, and a flat threshold array. Build once,
 //!   audit many policies ([`audit::AuditEngine::audit_many_policies`]) with
 //!   a counts-only fast path that allocates nothing per provider.
+//! * [`deltalog`] — the durable delta log and the restartable α-monitor
+//!   ([`deltalog::Monitor`]) that consumes it.
+//! * [`liveindex`] / [`selective`] — violation queries: a witness index
+//!   maintained off the delta stream, and index-selected cold audits.
 //! * [`whatif`] — §10's "what-if scenarios that modify a house's privacy
 //!   policies", evaluated without touching the stored policy.
 //! * [`report`] — plain-text rendering of audit results.
@@ -49,7 +55,6 @@ pub mod incremental;
 pub mod intern;
 pub mod liveindex;
 mod packed;
-pub mod par;
 pub mod plan;
 pub mod pop;
 pub mod ppdb;
@@ -70,9 +75,6 @@ pub use deltalog::{
 pub use incremental::IncrementalAuditor;
 pub use intern::SymbolTable;
 pub use liveindex::LiveViolationIndex;
-pub use par::{
-    chunk_size, default_threads, par_map_chunks, shard_bounds, AuditError, PAR_THRESHOLD,
-};
 pub use plan::{CompiledAuditPlan, PlanScratch};
 pub use pop::{
     CompiledPopulation, DeltaError, DeltaOp, DeltaOutcome, PolicyOutcome, PopulationBuilder,

@@ -732,13 +732,13 @@ impl CompiledPopulation {
         }
     }
 
-    /// Index occurrence `i` into the plan-shaped scratch: the per-provider
-    /// equivalent of `CompiledAuditPlan::index_profile`, with the string
-    /// hashing replaced by binding-array probes. Semantics are identical:
-    /// flat mode keeps the first stated tuple per `(attr, purpose)`,
-    /// lattice mode joins all of them, rows naming symbols the plan never
-    /// interned are skipped, and datum slots for plan attributes the
-    /// population never saw stay neutral (no provider can have set them).
+    /// Index occurrence `i` into the plan-shaped scratch, resolving
+    /// symbols through binding-array probes rather than string hashing.
+    /// Semantics match the reference path's: flat mode keeps the first
+    /// stated tuple per `(attr, purpose)`, lattice mode joins all of them,
+    /// rows naming symbols the plan never interned are skipped, and datum
+    /// slots for plan attributes the population never saw stay neutral
+    /// (no provider can have set them).
     fn index_provider(
         &self,
         plan: &CompiledAuditPlan,

@@ -2,7 +2,8 @@
 //! [`PopulationDelta`] sequence to a compiled population (and to a live
 //! [`IncrementalAuditor`]) lands **byte-identically** — serialized-JSON
 //! equal — on the state a fresh compile + audit of the mutated profile
-//! list produces, flat and lattice, sequential and parallel.
+//! list produces, flat and lattice. Policy edits to the live auditor land
+//! on a from-scratch audit of the final policy the same way.
 //!
 //! Ops are generated as plain integer tuples and decoded deterministically
 //! here, so failing cases shrink along integers and vector length — the
@@ -11,8 +12,6 @@
 //! ids, repeated edits of the same provider, removals, retractions
 //! (empty preference replacement), and ops naming unknown providers
 //! (which must no-op on both sides).
-
-use std::num::NonZeroUsize;
 
 use proptest::prelude::*;
 
@@ -177,9 +176,38 @@ fn engine(hp: &HousePolicy) -> AuditEngine {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
+    /// Any policy-edit sequence leaves the incremental auditor in exactly
+    /// the state a from-scratch audit of the final policy computes (the
+    /// ablation A1 soundness condition).
+    #[test]
+    fn incremental_auditor_matches_full_reaudit(
+        seed in 0u64..1_000_000,
+        edits in proptest::collection::vec(0u32..10, 1..7),
+    ) {
+        let profiles = population(60, seed);
+        let mut auditor = IncrementalAuditor::new(
+            profiles.clone(),
+            vec!["weight".into(), "age".into()],
+            &weights(),
+            policy(5),
+        );
+        for level in edits {
+            let hp = policy(level);
+            auditor.apply_policy(hp.clone());
+            let report = engine(&hp).run(&profiles);
+            for (i, audited) in report.providers.iter().enumerate() {
+                prop_assert_eq!(auditor.score(i), audited.score, "provider {}", i);
+                prop_assert_eq!(auditor.violated(i), audited.violated);
+                prop_assert_eq!(auditor.defaulted(i), audited.defaulted);
+            }
+            prop_assert_eq!(auditor.total_violations(), report.total_violations);
+            prop_assert_eq!(auditor.p_violation(), report.p_violation());
+            prop_assert_eq!(auditor.p_default(), report.p_default());
+        }
+    }
+
     /// Delta-applied compiled population == fresh compile of the mutated
-    /// profiles, as serialized JSON reports: flat, lattice, and the
-    /// parallel path for several thread counts.
+    /// profiles, as serialized JSON reports: flat and lattice.
     #[test]
     fn delta_applied_population_equals_fresh_compile(
         seed in 0u64..1_000_000,
@@ -208,22 +236,11 @@ proptest! {
             let via_delta = serde_json::to_string(&eng.audit_compiled(&pop)).unwrap();
             let via_fresh = serde_json::to_string(&eng.audit_compiled(&fresh)).unwrap();
             prop_assert_eq!(&via_delta, &via_fresh, "lattice={}", with_lattice);
-            for threads in [2usize, 4] {
-                let par = eng
-                    .par_audit_compiled(&pop, NonZeroUsize::new(threads).unwrap())
-                    .unwrap();
-                prop_assert_eq!(
-                    &serde_json::to_string(&par).unwrap(),
-                    &via_delta,
-                    "lattice={} threads={}", with_lattice, threads
-                );
-            }
         }
     }
 
     /// Delta-fed live auditor == fresh auditor over the mutated profiles:
-    /// identical per-provider scores/flags and identical JSON outcome,
-    /// whether the fresh build is sequential or parallel.
+    /// identical per-provider scores/flags and identical JSON outcome.
     #[test]
     fn delta_fed_auditor_equals_fresh_build(
         seed in 0u64..1_000_000,
@@ -263,17 +280,6 @@ proptest! {
             prop_assert_eq!(live.violated(i), fresh.violated(j), "id {:?}", p.id());
             prop_assert_eq!(live.defaulted(i), fresh.defaulted(j), "id {:?}", p.id());
         }
-        let par = IncrementalAuditor::new_parallel(
-            mutated,
-            vec!["weight".into(), "age".into()],
-            &weights(),
-            policy(level),
-            NonZeroUsize::new(4).unwrap(),
-        );
-        prop_assert_eq!(
-            serde_json::to_string(&live.outcome()).unwrap(),
-            serde_json::to_string(&par.outcome()).unwrap()
-        );
     }
 
     /// The compiled path's [`DeltaOutcome::skipped`] counter agrees with

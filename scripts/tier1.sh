@@ -2,7 +2,8 @@
 # Tier-1 gate: everything a PR must keep green, in the order that fails
 # fastest. Run from the repo root:
 #
-#   scripts/tier1.sh                # gate only (includes the bench smoke)
+#   scripts/tier1.sh                # gate only (includes the bench smoke
+#                                   #   and the end-to-end benchmark's tests)
 #   scripts/tier1.sh --bench        # gate + bench JSONs
 #   scripts/tier1.sh --faults       # gate + release-mode fault-injection suite
 #   scripts/tier1.sh --monitor      # gate + delta-log/monitor crash suites
@@ -19,7 +20,7 @@
 #                                   #   live-index bench smoke)
 #   scripts/tier1.sh --bench-smoke  # bench smoke stage only
 #
-# The bench step writes BENCH_parallel_audit.json, BENCH_audit_plan.json,
+# The bench step writes BENCH_audit_plan.json,
 # BENCH_compiled_population.json, BENCH_delta_audit.json,
 # BENCH_delta_log.json, BENCH_packed_population.json,
 # BENCH_snapshot_readers.json, BENCH_selective_audit.json, and
@@ -30,6 +31,11 @@
 # (QPV_BENCH_SMOKE=1, see qpv_bench::bench_n) purely as a correctness
 # check: each sample asserts its reports against the oracle, so a broken
 # fast path fails here in seconds without waiting on full-size benches.
+#
+# The end-to-end benchmark (e2ebench/, its own cargo package) is built
+# and tested in release mode into .bench_build/: its smoke test runs every
+# workload with every correctness check on tiny populations, so a core API
+# change that breaks the benchmark fails here rather than at benchmark time.
 #
 # The fault step re-runs the crash-torture matrix (crash-stop/torn-write at
 # every I/O op index) and the WAL bit/byte-flip corruption properties under
@@ -120,8 +126,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== build (release) =="
 cargo build --release
 
-echo "== tests =="
-cargo test -q
+echo "== tests (workspace) =="
+cargo test --workspace -q
 
 echo "== plan equivalence (release) =="
 # The compiled-plan == string-path contract, re-checked under the exact
@@ -130,18 +136,20 @@ cargo test -q --release -p qpv-core --test plan_equivalence
 
 echo "== population equivalence (release) =="
 # Same contract for the compiled structure-of-arrays population: one
-# compile, sequential/parallel/multi-policy passes all byte-identical to
-# the string-path oracle.
+# compile, full/counts/multi-policy passes all byte-identical to the
+# string-path oracle.
 cargo test -q --release -p qpv-core --test pop_equivalence
 
 echo "== delta equivalence (release) =="
 # The incremental contract: random delta sequences applied in place (to
 # the compiled population and to a live auditor) land byte-identically on
-# a fresh compile+audit of the mutated profiles, flat and lattice,
-# sequential and parallel.
+# a fresh compile+audit of the mutated profiles, flat and lattice.
 cargo test -q --release -p qpv-core --test delta_equivalence
 
 bench_smoke
+
+echo "== end-to-end benchmark: build + smoke tests (release) =="
+CARGO_TARGET_DIR=.bench_build cargo test -q --release --offline --manifest-path e2ebench/Cargo.toml
 
 if [[ "${1:-}" == "--faults" ]]; then
     # Wall-clock budget: the whole fault stage must finish inside this
@@ -154,9 +162,6 @@ if [[ "${1:-}" == "--faults" ]]; then
     echo "== fault injection: WAL corruption properties (release) =="
     RUST_BACKTRACE=1 timeout "$FAULT_BUDGET" \
         cargo test -q --release -p qpv-reldb --test wal_corruption
-    echo "== fault injection: audit worker panic containment (release) =="
-    RUST_BACKTRACE=1 timeout "$FAULT_BUDGET" \
-        cargo test -q --release --test par_faults
 fi
 
 if [[ "${1:-}" == "--monitor" ]]; then
@@ -198,9 +203,6 @@ if [[ "${1:-}" == "--concurrency" ]]; then
 fi
 
 if [[ "${1:-}" == "--bench" ]]; then
-    echo "== parallel audit bench =="
-    QPV_BENCH_FULL=1 QPV_BENCH_JSON="$PWD/BENCH_parallel_audit.json" \
-        cargo bench -p qpv-bench --bench parallel_audit
     echo "== audit plan bench =="
     QPV_BENCH_FULL=1 QPV_BENCH_JSON="$PWD/BENCH_audit_plan.json" \
         cargo bench -p qpv-bench --bench audit_plan
